@@ -90,10 +90,12 @@ class BDDManager:
         self._cof_cache: Dict[Tuple[int, int], int] = {}
         self._quant_cache: Dict[Tuple[bool, int, int], int] = {}
         self._andex_cache: Dict[Tuple[int, int, int], int] = {}
+        self._rewrite_cache: Dict[Tuple[int, int, int], int] = {}
         self._evictable = (
             self._ite_cache, self._and_cache, self._or_cache,
             self._xor_cache, self._diff_cache, self._op_cache,
-            self._cof_cache, self._quant_cache, self._andex_cache)
+            self._cof_cache, self._quant_cache, self._andex_cache,
+            self._rewrite_cache)
         # Interning table turning the frozensets that parameterise the
         # derived operators (quantified level sets, cofactor cubes, ...)
         # into small integers, so their cache keys hash in O(1).

@@ -2,16 +2,16 @@
 
 All functions here take and return :class:`~repro.bdd.function.Function`
 handles.  Each operation memoises its recursion in a dedicated cache on
-the manager (quantification, cofactor and the relational product each
-own one; composition shares the generic ``_op_cache``), keyed by the
-node id plus a small interned id of the operation parameter
+the manager (quantification, cofactor, the relational product and the
+cube rewrite each own one; composition shares the generic ``_op_cache``),
+keyed by the node id plus a small interned id of the operation parameter
 (:meth:`~repro.bdd.manager.BDDManager.intern_key`) -- so cache probes
 hash integer tuples instead of re-hashing frozensets on every visit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Sequence
+from typing import Dict, FrozenSet, NamedTuple, Sequence, Tuple
 
 from repro.bdd.function import Function
 from repro.bdd.manager import BDDManager, BDDOrderError, FALSE_ID, TRUE_ID
@@ -54,9 +54,9 @@ def forall(f: Function, variables: Sequence[str]) -> Function:
 
 def _quantify(manager: BDDManager, node: int, levels: FrozenSet[int],
               top: int, key_id: int, conjunction: bool) -> int:
-    if manager.is_terminal(node):
+    if node <= TRUE_ID:
         return node
-    level = manager.node_level(node)
+    level = manager._level[node]
     if level > top:
         # Every quantified variable is above this node: nothing to abstract.
         return node
@@ -67,9 +67,9 @@ def _quantify(manager: BDDManager, node: int, levels: FrozenSet[int],
     if cached is not None:
         manager.cache_hits += 1
         return cached
-    low = _quantify(manager, manager.node_low(node), levels, top, key_id,
+    low = _quantify(manager, manager._low[node], levels, top, key_id,
                     conjunction)
-    high = _quantify(manager, manager.node_high(node), levels, top, key_id,
+    high = _quantify(manager, manager._high[node], levels, top, key_id,
                      conjunction)
     if level in levels:
         if conjunction:
@@ -115,7 +115,7 @@ def _and_exist(manager: BDDManager, f: int, g: int,
     if cached is not None:
         manager.cache_hits += 1
         return cached
-    level = min(manager.node_level(f), manager.node_level(g))
+    level = min(manager._level[f], manager._level[g])
     f0, f1 = manager._cofactors_at(f, level)
     g0, g1 = manager._cofactors_at(g, level)
     if level in levels:
@@ -157,9 +157,9 @@ def cofactor(f: Function, literals: Dict[str, bool]) -> Function:
 
 def _cofactor(manager: BDDManager, node: int,
               assignment: Dict[int, bool], top: int, key_id: int) -> int:
-    if manager.is_terminal(node):
+    if node <= TRUE_ID:
         return node
-    level = manager.node_level(node)
+    level = manager._level[node]
     if level > top:
         return node
     cache = manager._cof_cache
@@ -170,13 +170,12 @@ def _cofactor(manager: BDDManager, node: int,
         manager.cache_hits += 1
         return cached
     if level in assignment:
-        child = (manager.node_high(node) if assignment[level]
-                 else manager.node_low(node))
+        child = (manager._high[node] if assignment[level]
+                 else manager._low[node])
         result = _cofactor(manager, child, assignment, top, key_id)
     else:
-        low = _cofactor(manager, manager.node_low(node), assignment, top,
-                        key_id)
-        high = _cofactor(manager, manager.node_high(node), assignment, top,
+        low = _cofactor(manager, manager._low[node], assignment, top, key_id)
+        high = _cofactor(manager, manager._high[node], assignment, top,
                          key_id)
         result = manager._mk(level, low, high) if low != high else low
     if len(cache) >= manager._cache_limit:
@@ -188,6 +187,82 @@ def _cofactor(manager: BDDManager, node: int,
 def restrict(f: Function, literals: Dict[str, bool]) -> Function:
     """Alias of :func:`cofactor` (classical name)."""
     return cofactor(f, literals)
+
+
+# ----------------------------------------------------------------------
+# Cube rewrite
+# ----------------------------------------------------------------------
+class CubeRewrite(NamedTuple):
+    """A prebuilt rewrite of a fixed set of variables (see :func:`rewrite`).
+
+    ``steps`` holds one ``(level, before, after)`` triple per rewritten
+    variable in ascending level order; ``key_id`` is the interned id the
+    memo table keys on, so a spec belongs to the manager that built it.
+    """
+
+    steps: Tuple[Tuple[int, bool, bool], ...]
+    key_id: int
+
+
+def rewrite_spec(manager: BDDManager,
+                 rows: Dict[str, Tuple[bool, bool]]) -> CubeRewrite:
+    """Build the :class:`CubeRewrite` mapping ``{name: (before, after)}``."""
+    steps = tuple(sorted((manager.level_of(name), bool(before), bool(after))
+                         for name, (before, after) in rows.items()))
+    return CubeRewrite(steps, manager.intern_key(("rewrite", steps)))
+
+
+def rewrite(f: Function, spec: CubeRewrite) -> Function:
+    """The states of ``f`` matching ``before`` with the variables set to ``after``.
+
+    For the rewritten variables ``V`` this is ``f_B . A`` -- the cofactor
+    by the ``before`` cube ``B`` conjoined with the ``after`` cube ``A``
+    -- computed in one memoised walk that builds no intermediate BDD.
+    Every ingredient of the paper's firing function ``delta_D`` is such a
+    cube, so a whole firing is one call.
+    """
+    if not spec.steps:
+        return f
+    manager = f.manager
+    return manager._wrap(_rewrite(manager, f.node, spec.steps, spec.key_id,
+                                  0))
+
+
+def _rewrite(manager: BDDManager, node: int,
+             steps: Tuple[Tuple[int, bool, bool], ...], key_id: int,
+             position: int) -> int:
+    if node == FALSE_ID:
+        return FALSE_ID
+    if position == len(steps):
+        return node
+    cache = manager._rewrite_cache
+    key = (node, key_id, position)
+    manager.cache_lookups += 1
+    cached = cache.get(key)
+    if cached is not None:
+        manager.cache_hits += 1
+        return cached
+    level, before, after = steps[position]
+    node_level = manager._level[node]
+    if node_level < level:
+        low = _rewrite(manager, manager._low[node], steps, key_id, position)
+        high = _rewrite(manager, manager._high[node], steps, key_id, position)
+        result = manager._mk(node_level, low, high)
+    else:
+        # The rewritten variable is tested here, or skipped (the states
+        # do not depend on it): select the ``before`` branch and rebuild
+        # the level with only the ``after`` branch populated.
+        if node_level == level:
+            node = manager._high[node] if before else manager._low[node]
+        child = _rewrite(manager, node, steps, key_id, position + 1)
+        if after:
+            result = manager._mk(level, FALSE_ID, child)
+        else:
+            result = manager._mk(level, child, FALSE_ID)
+    if len(cache) >= manager._cache_limit:
+        manager._evict_oldest(cache)
+    cache[key] = result
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +290,7 @@ def compose(f: Function, substitutions: Dict[str, Function]) -> Function:
 
 def _compose(manager: BDDManager, node: int, by_level: Dict[int, int],
              key_id: int) -> int:
-    if manager.is_terminal(node):
+    if node <= TRUE_ID:
         return node
     cache = manager._op_cache
     key = (node, key_id)
@@ -224,9 +299,9 @@ def _compose(manager: BDDManager, node: int, by_level: Dict[int, int],
     if cached is not None:
         manager.cache_hits += 1
         return cached
-    level = manager.node_level(node)
-    low = _compose(manager, manager.node_low(node), by_level, key_id)
-    high = _compose(manager, manager.node_high(node), by_level, key_id)
+    level = manager._level[node]
+    low = _compose(manager, manager._low[node], by_level, key_id)
+    high = _compose(manager, manager._high[node], by_level, key_id)
     replacement = by_level.get(level)
     if replacement is None:
         replacement = manager._mk(level, FALSE_ID, TRUE_ID)

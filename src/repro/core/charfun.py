@@ -82,7 +82,8 @@ class CharacteristicFunctions:
         return cached
 
     # ------------------------------------------------------------------
-    # Cube literal dictionaries (used by the cofactor-based image)
+    # Cube literal dictionaries (the cofactor steps of the paper's
+    # four-pass delta_N; SymbolicImage fires by one cube rewrite instead)
     # ------------------------------------------------------------------
     def enabled_literals(self, transition: str) -> Dict[str, bool]:
         """The ``E(t)`` cube as a literal dictionary (for cofactoring)."""

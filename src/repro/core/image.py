@@ -13,41 +13,49 @@ CSC-reducibility check are also provided; they handle self-loop places
 All functions operate on characteristic functions over the variables of a
 :class:`~repro.core.encoding.SymbolicEncoding` and never enumerate states.
 
-The traversal fires every transition on every outer iteration, so each
-transition's ingredients -- the literal cubes to cofactor by, the
-characteristic-function products to conjoin, the signal literal of the
-label -- are precomputed **once** into a :class:`_FirePlan` instead of
-being re-derived from the net on every firing.  The plans also fuse
-commuting steps: the ``NSM(t)`` cofactor absorbs the old-signal-value
-cofactor and ``ASM(t)`` absorbs the new signal literal (both pairs
-commute because they constrain disjoint variables), so ``delta_D`` costs
-two cofactor passes and two conjunctions instead of four and three.
+Every ingredient of ``delta_D`` is a cube over the variables of the
+transition's preset, postset and signal, and the four steps together
+only *rewrite* those variables: the states must hold the "before" value
+of each and leave with its "after" value --
+
+    =================  ======  =====
+    variable           before  after
+    =================  ======  =====
+    preset-only place  1       0
+    postset-only place 0       1
+    self-loop place    1       1
+    signal             old     new
+    =================  ======  =====
+
+-- so a firing is one :func:`repro.bdd.operators.rewrite` walk that
+builds no intermediate BDD.  A backward firing swaps "before" and
+"after"; the net-level firings drop the signal row.  The traversal fires
+every transition on every outer iteration, so the four rewrite specs of
+a transition are built **once** into a :class:`_FirePlan`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from repro.bdd import Function
+from repro.bdd.operators import CubeRewrite, rewrite, rewrite_spec
 from repro.core.charfun import CharacteristicFunctions
 from repro.core.encoding import SymbolicEncoding
 
 
-class _FirePlan:
-    """Precomputed ingredients for firing one transition symbolically."""
+class _FirePlan(NamedTuple):
+    """Prebuilt rewrite specs for firing one transition symbolically."""
 
-    __slots__ = (
-        "enabled_literals",      # E(t) cube as {place var: True}
-        "npm",                   # NPM(t) as a Function
-        "nsm_literals",          # NSM(t) cube as {place var: False}
-        "asm",                   # ASM(t) as a Function
-        "nsm_old_literals",      # NSM(t) + {signal: old value} (fused)
-        "asm_new",               # ASM(t) & new signal literal (fused)
-        "net_back_select",       # post-side place selection (net level)
-        "net_back_restore",      # pre-side place restore cube (net level)
-        "back_select_literals",  # net_back_select + {signal: target}
-        "back_restore",          # net_back_restore & old signal literal
-    )
+    forward: CubeRewrite       # delta_D(t): places and the label's signal
+    backward: CubeRewrite      # inverse of delta_D(t)
+    net_forward: CubeRewrite   # delta_N(t): places only
+    net_backward: CubeRewrite  # inverse of delta_N(t)
+
+
+def _swapped(rows: Dict[str, Tuple[bool, bool]]) -> Dict[str, Tuple[bool, bool]]:
+    """The backward rows of forward ``rows``: "before" and "after" swap."""
+    return {name: (after, before) for name, (before, after) in rows.items()}
 
 
 class SymbolicImage:
@@ -69,71 +77,35 @@ class SymbolicImage:
 
     def _build_plan(self, transition: str) -> _FirePlan:
         encoding = self.encoding
-        charfun = self.charfun
         manager = encoding.manager
         net = encoding.stg.net
         place = encoding.place_variable
 
-        plan = _FirePlan()
-        plan.enabled_literals = charfun.enabled_literals(transition)
-        plan.npm = charfun.no_predecessor_marked(transition)
-        plan.nsm_literals = charfun.no_successor_literals(transition)
-        plan.asm = charfun.all_successors_marked(transition)
-
-        label = encoding.stg.label_of(transition)
-        variable = encoding.signal_variable(label.signal)
-        old_value = not label.target_value
-        plan.nsm_old_literals = dict(plan.nsm_literals)
-        plan.nsm_old_literals[variable] = old_value
-        plan.asm_new = plan.asm & (
-            manager.var(variable) if label.target_value
-            else manager.nvar(variable))
-
-        # Backward firing: self-loop places (in both the preset and the
-        # postset) stay marked across the firing, so they are selected
-        # at 1 on the target side and restored to 1 on the source side.
         preset = net.preset_of_transition(transition)
         postset = net.postset_of_transition(transition)
-        both = preset & postset
-        pre_only = preset - both
-        post_only = postset - both
-        select = {place(p): True for p in post_only}
-        select.update({place(p): True for p in both})
-        select.update({place(p): False for p in pre_only})
-        restore = {place(p): True for p in pre_only}
-        restore.update({place(p): False for p in post_only})
-        restore.update({place(p): True for p in both})
-        plan.net_back_select = select
-        plan.net_back_restore = manager.cube(restore)
-        # The signal selection/restore commute with the place-side steps
-        # (disjoint variables), so both fold into single passes.
-        plan.back_select_literals = dict(select)
-        plan.back_select_literals[variable] = label.target_value
-        plan.back_restore = plan.net_back_restore & (
-            manager.nvar(variable) if label.target_value
-            else manager.var(variable))
-        return plan
+        # Rows are {variable: (before, after)} for the forward firing.
+        rows = {place(p): (True, p in postset) for p in sorted(preset)}
+        rows.update({place(p): (p in preset, True) for p in sorted(postset)})
+        label = encoding.stg.label_of(transition)
+        signal_rows = dict(rows)
+        signal_rows[encoding.signal_variable(label.signal)] = (
+            not label.target_value, label.target_value)
+        return _FirePlan(
+            forward=rewrite_spec(manager, signal_rows),
+            backward=rewrite_spec(manager, _swapped(signal_rows)),
+            net_forward=rewrite_spec(manager, rows),
+            net_backward=rewrite_spec(manager, _swapped(rows)))
 
     # ------------------------------------------------------------------
     # Petri-net level
     # ------------------------------------------------------------------
     def fire_net(self, states: Function, transition: str) -> Function:
-        """``delta_N(states, t)``: the paper's cofactor/product pipeline."""
-        plan = self._plan(transition)
-        result = states.cofactor(plan.enabled_literals)
-        result = result & plan.npm
-        result = result.cofactor(plan.nsm_literals)
-        result = result & plan.asm
-        return result
+        """``delta_N(states, t)``: fire ``t`` on the marking variables only."""
+        return rewrite(states, self._plan(transition).net_forward)
 
     def fire_net_backward(self, states: Function, transition: str) -> Function:
-        """Inverse of :meth:`fire_net`: predecessors of ``states`` under ``t``.
-
-        Self-loop handling lives in the plan construction (one place for
-        both the net-level and the signal-fused backward steps).
-        """
-        plan = self._plan(transition)
-        return states.cofactor(plan.net_back_select) & plan.net_back_restore
+        """Inverse of :meth:`fire_net`: predecessors of ``states`` under ``t``."""
+        return rewrite(states, self._plan(transition).net_backward)
 
     # ------------------------------------------------------------------
     # STG level (marking + signal code)
@@ -141,21 +113,15 @@ class SymbolicImage:
     def fire(self, states: Function, transition: str) -> Function:
         """``delta_D(states, t)``: fire ``t`` and update its signal variable.
 
-        Following the paper, the cofactor with respect to the *old* signal
-        value drops source states that would violate consistency (those are
+        Following the paper, source states must hold the *old* signal
+        value; those that would violate consistency are dropped (they are
         reported separately by :mod:`repro.core.consistency`).
         """
-        plan = self._plan(transition)
-        result = states.cofactor(plan.enabled_literals)
-        result = result & plan.npm
-        result = result.cofactor(plan.nsm_old_literals)
-        return result & plan.asm_new
+        return rewrite(states, self._plan(transition).forward)
 
     def fire_backward(self, states: Function, transition: str) -> Function:
         """Inverse of :meth:`fire`: predecessors under ``t`` with signal undo."""
-        plan = self._plan(transition)
-        result = states.cofactor(plan.back_select_literals)
-        return result & plan.back_restore
+        return rewrite(states, self._plan(transition).backward)
 
     # ------------------------------------------------------------------
     # Images over transition sets

@@ -1,4 +1,4 @@
-"""Unit tests for quantification, cofactors, composition and renaming."""
+"""Unit tests for quantification, cofactors, rewrites, composition, renaming."""
 
 import pytest
 
@@ -118,6 +118,48 @@ class TestCofactor:
     def test_restrict_alias(self, mgr):
         f = mgr.var("a") & mgr.var("b")
         assert operators.restrict(f, {"a": True}) == f.cofactor({"a": True})
+
+
+class TestRewrite:
+    @staticmethod
+    def two_step(f, rows):
+        """The reference: cofactor by the ``before`` cube, add ``after``."""
+        mgr = f.manager
+        before = {name: pair[0] for name, pair in rows.items()}
+        after = {name: pair[1] for name, pair in rows.items()}
+        return f.cofactor(before) & mgr.cube(after)
+
+    @pytest.mark.parametrize("rows", [
+        {"b": (True, False)},
+        {"a": (False, True), "c": (True, True)},
+        {"d": (True, False), "a": (True, False), "b": (False, True)},
+    ])
+    def test_matches_cofactor_then_cube(self, mgr, rows):
+        spec = operators.rewrite_spec(mgr, rows)
+        a, b, c, d = (mgr.var(name) for name in "abcd")
+        for f in (mgr.true, mgr.false, a & b, (a | c) & ~d, a ^ b ^ c,
+                  ~b & d, c):
+            assert operators.rewrite(f, spec) == self.two_step(f, rows)
+
+    def test_builds_skipped_levels(self, mgr):
+        # f does not test b or c: both must still appear in the result.
+        f = mgr.var("a") & mgr.var("d")
+        spec = operators.rewrite_spec(mgr, {"b": (False, True),
+                                            "c": (True, False)})
+        result = operators.rewrite(f, spec)
+        assert result == f & mgr.var("b") & ~mgr.var("c")
+
+    def test_spec_is_sorted_by_level(self, mgr):
+        spec = operators.rewrite_spec(mgr, {"d": (True, True),
+                                            "a": (False, False)})
+        assert [step[0] for step in spec.steps] == [0, 3]
+        same = operators.rewrite_spec(mgr, {"a": (False, False),
+                                            "d": (True, True)})
+        assert same == spec
+
+    def test_empty_spec_is_identity(self, mgr):
+        f = mgr.var("a") | mgr.var("c")
+        assert operators.rewrite(f, operators.rewrite_spec(mgr, {})) == f
 
 
 class TestCompose:
