@@ -1,12 +1,13 @@
-# Developer entry points. `make check` is the everyday gate: lint, the
-# repo-specific static analyzer, the full unit and integration suite
+# Developer entry points. `make check` is the everyday gate: ruff (when
+# installed), the repo-specific static analyzer (whose RA401-RA404 rules
+# are the dependency-free lint subset), the full unit and integration suite
 # (including the cross-engine API-parity tests under tests/api/), plus a
 # real sharded parallel sweep, so the runner path is exercised outside
 # its unit tests on every run.
 #
-# `make ci` mirrors .github/workflows/ci.yml on one machine: lint, the
+# `make ci` mirrors .github/workflows/ci.yml on one machine: ruff, the
 # analyzer (python -m tools.analysis -- determinism, schema round-trips,
-# facade purity, registry hygiene), the suite with slow-test timings,
+# facade purity, registry hygiene, lint), the suite with slow-test timings,
 # then the sweep gate (tools/sweep_gate.py) -- every execution backend
 # must produce byte-identical stable JSON, merging four shard stores
 # must reproduce the unsharded sweep, and the chaos leg must prove the
@@ -25,7 +26,11 @@ check: lint analyze test smoke
 ci: lint analyze test-ci sweep-gate serve-smoke
 
 lint:
-	$(PYTHON) tools/lint.py src tests tools
+	@if command -v ruff >/dev/null 2>&1; then \
+		ruff check src tests tools; \
+	else \
+		echo "lint: ruff not installed; RA401-RA404 run under make analyze"; \
+	fi
 
 analyze:
 	$(PYTHON) -m tools.analysis src tests tools

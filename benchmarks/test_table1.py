@@ -20,7 +20,7 @@ from benchmarks.table1_common import (
     report_to_row,
     run_table1_row,
 )
-from repro.core.checker import ImplementabilityChecker
+from repro.api import EngineConfig, verify
 
 CASES = [(family, scale) for family, scales in BENCHMARK_ROWS
          for scale in scales]
@@ -33,8 +33,7 @@ def test_table1_row(benchmark, family, scale):
     stg, arbitration = build_instance(family, scale)
 
     def run():
-        checker = ImplementabilityChecker(stg, arbitration_places=arbitration)
-        return checker.check()
+        return verify(stg, EngineConfig(arbitration_places=arbitration))
 
     report = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)
     row = report_to_row(family, scale, report)

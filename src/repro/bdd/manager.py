@@ -92,10 +92,10 @@ class BDDManager:
         self._andex_cache: Dict[Tuple[int, int, int], int] = {}
         self._rewrite_cache: Dict[Tuple[int, int, int], int] = {}
         self._evictable = (
-            self._ite_cache, self._and_cache, self._or_cache,
-            self._xor_cache, self._diff_cache, self._op_cache,
-            self._cof_cache, self._quant_cache, self._andex_cache,
-            self._rewrite_cache)
+            self._ite_cache, self._not_cache, self._and_cache,
+            self._or_cache, self._xor_cache, self._diff_cache,
+            self._op_cache, self._cof_cache, self._quant_cache,
+            self._andex_cache, self._rewrite_cache)
         # Interning table turning the frozensets that parameterise the
         # derived operators (quantified level sets, cofactor cubes, ...)
         # into small integers, so their cache keys hash in O(1).
@@ -278,15 +278,20 @@ class BDDManager:
             return FALSE_ID
         if node == FALSE_ID:
             return TRUE_ID
-        cached = self._not_cache.get(node)
+        cache = self._not_cache
+        self.cache_lookups += 1
+        cached = cache.get(node)
         if cached is not None:
+            self.cache_hits += 1
             return cached
         result = self._mk(
             self._level[node],
             self.negate(self._low[node]),
             self.negate(self._high[node]),
         )
-        self._not_cache[node] = result
+        if len(cache) >= self._cache_limit:
+            self._evict_oldest(cache)
+        cache[node] = result
         return result
 
     def _apply_children(self, f: int, g: int) -> Tuple[int, int, int, int, int]:
@@ -496,7 +501,6 @@ class BDDManager:
         """Drop every memoisation table (does not drop nodes)."""
         for cache in self._evictable:
             cache.clear()
-        self._not_cache.clear()
 
     def cache_stats(self) -> Dict[str, int]:
         """Aggregate operation-cache statistics (monotonic counters).
@@ -510,8 +514,7 @@ class BDDManager:
             "lookups": self.cache_lookups,
             "hits": self.cache_hits,
             "evictions": self.cache_evictions,
-            "entries": (sum(len(cache) for cache in self._evictable)
-                        + len(self._not_cache)),
+            "entries": sum(len(cache) for cache in self._evictable),
         }
 
     def collect_garbage(self) -> int:

@@ -17,9 +17,9 @@ hands the cached intermediates to every checker:
 
 Individual property results are cached as well, so asking for the full
 report after probing a single property does not repeat work.  The
-:class:`~repro.core.checker.ImplementabilityChecker` facade is now a thin
-wrapper around this class, and the ``batch-check`` CLI mode drives one
-pipeline per benchmark-corpus entry.
+symbolic engine behind :func:`repro.api.run` drives one pipeline per
+call, and the run's :attr:`~repro.engines.EngineRun.pipeline` hands it
+back for further reuse.
 """
 
 from __future__ import annotations
@@ -51,8 +51,31 @@ from repro.utils.timing import PhaseTimer
 class VerificationPipeline:
     """One STG, one traversal, every property check.
 
-    Parameters mirror :class:`~repro.core.checker.ImplementabilityChecker`
-    (which delegates here); see its docstring for their meaning.
+    Parameters
+    ----------
+    stg:
+        The specification; every signal needs an initial value (see
+        :func:`repro.sg.builder.infer_initial_values`, or pass
+        ``initial_values=``).
+    arbitration_places:
+        Places whose conflicts between non-input signals model
+        arbitration and are tolerated by the persistency check
+        (Definition 3.2 footnote).
+    ordering:
+        Variable-ordering strategy of
+        :class:`~repro.core.encoding.SymbolicEncoding`.
+    traversal_strategy:
+        ``"chained"`` (Figure 5) or ``"frontier"``.
+    initial_values:
+        Optional completion/override of the initial signal values.
+    commutativity_fallback_states:
+        When fake conflicts are present, commutativity can no longer be
+        derived from fake-freedom (Section 5.4); if the reachable state
+        count is at most this bound the explicit commutativity check
+        decides it, otherwise the verdict is left undecided.
+    deadline:
+        Cooperative absolute :func:`time.monotonic` deadline, checked
+        once per traversal iteration.
 
     The chain properties (:attr:`encoding`, :attr:`image`, :attr:`reached`)
     and every property method are lazy and cached: the first access pays

@@ -1,7 +1,8 @@
 """Implementability reports shared by the explicit and symbolic checkers.
 
-Both :class:`repro.sg.checker.ExplicitChecker` and
-:class:`repro.core.checker.ImplementabilityChecker` fill the same
+Both engines behind :func:`repro.api.verify` (the symbolic
+:class:`repro.core.pipeline.VerificationPipeline` and the explicit
+:class:`repro.sg.checker.ExplicitVerification`) fill the same
 :class:`ImplementabilityReport`, so results can be compared field by field
 (the test-suite does exactly that) and printed uniformly by the CLI, the
 examples and the benchmark harness.

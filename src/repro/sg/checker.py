@@ -8,8 +8,8 @@ on small specifications.
 :class:`ExplicitVerification` is the engine context: it owns the lazily
 built state graph (built once, shared by every check) and implements the
 property checks of the :mod:`repro.api.checks` registry as
-``_check_<name>`` appliers.  :class:`ExplicitChecker` is the historical
-facade, kept as a thin deprecation shim over :func:`repro.api.run`.
+``_check_<name>`` appliers; :func:`repro.api.verify` reaches it with
+``EngineConfig(engine="explicit")``.
 """
 
 from __future__ import annotations
@@ -181,33 +181,3 @@ class ExplicitVerification:
                         apply_check(self, CHECKS[name], report, "explicit")
         report.timings = timer.as_dict()
         return report
-
-
-class ExplicitChecker:
-    """Deprecated constructor-style facade over :func:`repro.api.run`.
-
-    Kept so existing callers (and the cross-validation test-suite) keep
-    working; new code should call :func:`repro.api.verify` with an
-    :class:`~repro.api.config.EngineConfig` instead.  The parameters
-    mirror :class:`ExplicitVerification`.
-    """
-
-    def __init__(self, stg: STG,
-                 initial_values: Optional[Dict[str, bool]] = None,
-                 arbitration_places: Optional[Iterable[str]] = None,
-                 max_states: int = 1_000_000) -> None:
-        self.stg = stg
-        self.initial_values = initial_values
-        self.arbitration_places = list(arbitration_places or ())
-        self.max_states = max_states
-
-    def check(self) -> ImplementabilityReport:
-        """Run every check and produce the report (via :mod:`repro.api`)."""
-        from repro import api
-
-        config = api.EngineConfig(
-            engine="explicit",
-            initial_values=self.initial_values,
-            arbitration_places=tuple(self.arbitration_places),
-            max_states=self.max_states)
-        return api.verify(self.stg, config)

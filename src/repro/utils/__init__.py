@@ -1,5 +1,5 @@
 """Small shared utilities (timing, deterministic naming)."""
 
-from repro.utils.timing import Stopwatch, PhaseTimer
+from repro.utils.timing import PhaseTimer
 
-__all__ = ["Stopwatch", "PhaseTimer"]
+__all__ = ["PhaseTimer"]

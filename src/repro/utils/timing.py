@@ -34,41 +34,6 @@ def check_deadline(deadline: Optional[float], context: str) -> None:
             f"cooperative deadline exceeded during {context}")
 
 
-class Stopwatch:
-    """A simple cumulative stopwatch.
-
-    >>> watch = Stopwatch()
-    >>> with watch:
-    ...     pass
-    >>> watch.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._started: Optional[float] = None
-
-    def start(self) -> None:
-        if self._started is not None:
-            raise RuntimeError("stopwatch already running")
-        self._started = time.perf_counter()
-
-    def stop(self) -> float:
-        if self._started is None:
-            raise RuntimeError("stopwatch not running")
-        delta = time.perf_counter() - self._started
-        self.elapsed += delta
-        self._started = None
-        return delta
-
-    def __enter__(self) -> "Stopwatch":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
 class PhaseTimer:
     """Accumulates wall-clock time per named phase.
 

@@ -151,17 +151,6 @@ class TestFacadeValidation:
             verify(handshake(), EngineConfig(
                 engine=engine, arbitration_places=("p_nowhere",)))
 
-    def test_legacy_checker_shims_validate_too(self):
-        from repro.core import ImplementabilityChecker
-        from repro.sg import ExplicitChecker
-
-        with pytest.raises(ApiError):
-            ImplementabilityChecker(
-                handshake(), arbitration_places=["p_typo"]).check()
-        with pytest.raises(ApiError):
-            ExplicitChecker(
-                handshake(), arbitration_places=["p_typo"]).check()
-
     @pytest.mark.smoke
     def test_subset_run_reports_only_selected_checks(self):
         report = verify(handshake(), checks=("csc",))

@@ -120,6 +120,7 @@ class TestCacheCounters:
         _ = (a ^ b) - c
         _ = (a & b).exist(["a"])
         _ = (a | c).cofactor({"a": True})
+        _ = ~(a & c)
         assert mgr.cache_stats()["entries"] > 0
         mgr.clear_caches()
         assert mgr.cache_stats()["entries"] == 0
@@ -138,6 +139,21 @@ class TestGenerationalEviction:
         # Bounded: at most the limit plus one in-flight generation.
         assert len(mgr._and_cache) <= 64 + 1
         assert len(mgr._or_cache) <= 64 + 1
+
+    def test_negate_cache_is_bounded_and_counted(self):
+        names = [f"x{i}" for i in range(12)]
+        mgr = BDDManager(names, cache_limit=8)
+        parity = mgr.false
+        for name in names:
+            parity = parity ^ mgr.var(name)
+        lookups, hits = mgr.cache_lookups, mgr.cache_hits
+        negated = ~parity
+        assert len(mgr._not_cache) <= 8 + 1
+        assert mgr.cache_lookups > lookups
+        # The parity BDD shares its sub-graphs: negation re-visits them.
+        assert mgr.cache_hits > hits
+        assert ~negated == parity
+        assert (negated ^ parity) == mgr.true
 
     def test_eviction_drops_oldest_half_not_everything(self):
         mgr = BDDManager([f"x{i}" for i in range(10)], cache_limit=8)

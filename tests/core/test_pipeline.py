@@ -3,12 +3,12 @@
 The point of :class:`repro.core.pipeline.VerificationPipeline` is that the
 encoding / image / reachable-BDD chain is computed once and shared by all
 property checks, so these tests pin the caching behaviour as well as the
-equivalence with the :class:`ImplementabilityChecker` facade.
+equivalence with the :func:`repro.api.verify` facade.
 """
 
 
-from repro import corpus
-from repro.core import ImplementabilityChecker, VerificationPipeline
+from repro import api, corpus
+from repro.core import VerificationPipeline
 from repro.core import pipeline as pipeline_module
 from repro.stg.generators import handshake, mutex_element, vme_read_cycle
 
@@ -52,24 +52,17 @@ class TestRunReport:
     def test_matches_checker_facade(self):
         stg = vme_read_cycle()
         via_pipeline = VerificationPipeline(stg).run().as_dict()
-        via_checker = ImplementabilityChecker(stg).check().as_dict()
+        via_facade = api.verify(stg).as_dict()
         via_pipeline.pop("timings")
-        via_checker.pop("timings")
-        assert via_pipeline == via_checker
+        via_facade.pop("timings")
+        assert via_pipeline == via_facade
 
     def test_checker_exposes_its_pipeline(self):
-        checker = ImplementabilityChecker(handshake())
-        assert checker.pipeline is None
-        report = checker.check()
-        assert isinstance(checker.pipeline, VerificationPipeline)
-        # The chain is reusable after check() without another traversal.
-        assert checker.pipeline.traversal_stats.num_states == report.num_states
-
-    def test_checker_config_is_read_at_call_time(self):
-        checker = ImplementabilityChecker(mutex_element())
-        assert checker.check().output_persistent is False
-        checker.arbitration_places = ["p_me"]
-        assert checker.check().output_persistent is True
+        outcome = api.run(handshake())
+        assert isinstance(outcome.pipeline, VerificationPipeline)
+        # The chain is reusable after the run without another traversal.
+        assert (outcome.pipeline.traversal_stats.num_states
+                == outcome.report.num_states)
 
     def test_liveness_fields_filled_only_on_request(self):
         stg = handshake()

@@ -11,8 +11,8 @@ does not pin them.
 import pytest
 
 from repro import corpus
+from repro.api import EngineConfig, verify
 from repro.core import VerificationPipeline
-from repro.sg import ExplicitChecker
 
 
 def _symbolic_report(entry):
@@ -23,9 +23,8 @@ def _symbolic_report(entry):
 
 
 def _explicit_report(entry):
-    return ExplicitChecker(
-        corpus.load(entry.name),
-        arbitration_places=entry.arbitration_places).check()
+    return verify(corpus.load(entry.name), EngineConfig(
+        engine="explicit", arbitration_places=entry.arbitration_places))
 
 
 @pytest.mark.parametrize("name", corpus.names())

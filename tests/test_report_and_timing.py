@@ -9,7 +9,7 @@ from repro.report import (
     ImplementabilityReport,
     PropertyVerdict,
 )
-from repro.utils.timing import PhaseTimer, Stopwatch
+from repro.utils.timing import PhaseTimer
 
 
 def make_report(**overrides):
@@ -115,28 +115,6 @@ class TestVerdictsAndRendering:
         with_stats = make_report(bdd_peak_nodes=10, bdd_final_nodes=5,
                                  bdd_variables=7)
         assert "BDD nodes: peak 10, final 5" in with_stats.summary()
-
-
-class TestStopwatch:
-    def test_accumulates_time(self):
-        watch = Stopwatch()
-        with watch:
-            time.sleep(0.01)
-        first = watch.elapsed
-        with watch:
-            time.sleep(0.01)
-        assert watch.elapsed > first >= 0.01
-
-    def test_double_start_rejected(self):
-        watch = Stopwatch()
-        watch.start()
-        with pytest.raises(RuntimeError):
-            watch.start()
-        watch.stop()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
 
 
 class TestPhaseTimer:

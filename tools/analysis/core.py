@@ -65,9 +65,6 @@ RULES: Dict[str, Rule] = {rule.id: rule for rule in (
          "fingerprint material hashed without a SCHEMA_VERSION in the "
          "material; schema bumps could no longer invalidate caches"),
     # facade-purity pass (RA2xx)
-    Rule("RA201", "shim-constructed",
-         "deprecated checker shim constructed outside repro.api / "
-         "repro.engines / its defining module"),
     Rule("RA202", "facade-bypass",
          "CLI/runner/worker code reaches verification internals instead "
          "of going through repro.api"),
@@ -92,7 +89,7 @@ RULES: Dict[str, Rule] = {rule.id: rule for rule in (
          "registries never appears under tests/"),
     Rule("RA302", "undocumented-registration",
          "registered name missing from the README tables"),
-    # lint pass (RA4xx) -- the four rules folded in from tools/lint.py
+    # lint pass (RA4xx) -- the dependency-free subset of ruff's rules
     Rule("RA401", "syntax-error", "the file must parse", scope="all"),
     Rule("RA402", "unused-import",
          "module-level import never referenced and not re-exported "

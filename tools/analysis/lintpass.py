@@ -1,5 +1,4 @@
-"""Lint pass (RA401-RA404): the four rules folded in from the old
-``tools/lint.py`` fallback linter.
+"""Lint pass (RA401-RA404): the dependency-free subset of ``ruff check``.
 
 * **RA401 syntax-error** -- the file must parse (ruff E999);
 * **RA402 unused-import** -- a module-level import never referenced and
@@ -10,8 +9,8 @@
 * **RA404 duplicate-definition** -- a module-level function/class
   defined twice (ruff F811).
 
-``tools/lint.py`` is now a thin shim over this pass (preferring ``ruff
-check`` when installed), so ``make lint`` behaviour is unchanged.
+The pass runs under ``make analyze`` with every other rule; ``make
+lint`` runs ``ruff check`` when it is installed.
 """
 
 from __future__ import annotations
